@@ -7,10 +7,16 @@ thing that makes the speedup trustworthy — bit-identical output:
 * ``collect`` — the batched sampling engine versus the retained
   per-period reference loop (``_collect_reference``) on a 1B-instruction
   run; every trace array must be ``array_equal``.
-* ``fit_cv`` — 10-fold CV on a wide sparse EIPV dataset with node-local
-  split search and batch-routed ``predict_all_k``, versus the seed-era
-  path (dense matrix, full-store split scan, per-row Python predict
-  walk); the SSE vectors must match exactly.
+* ``fit_cv`` — 10-fold CV on a wide sparse EIPV dataset with the
+  lockstep grower (one presorted store, all folds grown together,
+  batched split search) and batch-routed ``predict_all_k``, versus the
+  seed-era path (dense matrix, full-store split scan, per-row Python
+  predict walk) and versus the per-node oracle it replaced
+  (``tests/core/tree_oracle.py``); the SSE vectors must match exactly
+  and lockstep must be no slower than the oracle.
+* ``fit_cv_refit`` — the same comparison at the ``refit`` benchmark's
+  shape (30-120 intervals, k_max=50, 10 folds), where per-node numpy
+  call overhead, not data volume, dominates.
 * ``cv_jobs`` — :func:`cross_validated_sse` serial versus fanned out
   over the runtime scheduler; fold merge order is deterministic, so the
   curves must be identical.
@@ -29,8 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import AnalysisConfig
-from repro.core.cross_validation import cross_validated_sse, fold_indices
-from repro.core.regression_tree import RegressionTreeSequence
+from repro.core.cross_validation import cross_validated_sse
 from repro.sparse import CSRMatrix
 from repro.trace.sampler import SamplingDriver
 from repro.uarch.cpu import ExecutionProfile
@@ -40,6 +45,7 @@ from repro.workloads.program import CyclicSchedule, FlatMixSchedule, Program
 from repro.workloads.regions import CodeRegion
 from repro.workloads.system import SimulatedSystem, Workload
 from repro.workloads.thread_model import WorkloadThread
+from tests.core.tree_oracle import oracle_cross_validated_sse
 
 TOTAL_INSTRUCTIONS = 1_000_000_000
 
@@ -155,51 +161,97 @@ def predict_all_k_reference(tree, matrix):
     return out
 
 
-def _cv(matrix, y, split_search, predict, folds=10, k_max=50, seed=3):
-    """The serial CV loop with an injectable tree mode and predictor."""
-    rng = np.random.default_rng(seed)
-    sse = np.zeros(k_max)
-    for held_out in fold_indices(len(y), folds, rng):
-        train = np.ones(len(y), dtype=bool)
-        train[held_out] = False
-        tree = RegressionTreeSequence(k_max=k_max,
-                                      split_search=split_search)
-        tree.fit(matrix[train], y[train])
-        errors = ((predict(tree, matrix[held_out])
-                   - y[held_out][:, None]) ** 2).sum(axis=0)
-        sse[:tree.max_k()] += errors
-        if tree.max_k() < k_max:
-            sse[tree.max_k():] += errors[-1]
-    return sse
+def _best_of(runs, fn):
+    """(result, min wall seconds) over ``runs`` calls of ``fn``."""
+    walls = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = fn()
+        walls.append(time.perf_counter() - start)
+    return result, min(walls)
 
 
-def test_bench_fit_cv_sparse_node_vs_seed(benchmark, bench_json):
+def _lockstep_cv(matrix, y, folds=10, k_max=50, seed=3):
+    config = AnalysisConfig(k_max=k_max, folds=folds, seed=seed)
+    return cross_validated_sse(matrix, y, config=config, jobs=1)
+
+
+def test_bench_fit_cv_sparse_lockstep_vs_seed(benchmark, bench_json):
     matrix, y = wide_dataset()
     dense = matrix.toarray()
 
     reference_start = time.perf_counter()
-    before = _cv(dense, y, "full", predict_all_k_reference)
+    before = oracle_cross_validated_sse(dense, y, k_max=50, folds=10,
+                                        seed=3, split_search="full",
+                                        predict=predict_all_k_reference)
     reference_wall = time.perf_counter() - reference_start
+    oracle, oracle_wall = _best_of(2, lambda: oracle_cross_validated_sse(
+        matrix, y, k_max=50, folds=10, seed=3))
 
     run = {}
 
     def _fit_cv():
-        start = time.perf_counter()
-        run["sse"] = _cv(matrix, y, "node",
-                         lambda tree, rows: tree.predict_all_k(rows))
-        run["wall"] = time.perf_counter() - start
+        run["sse"], run["wall"] = _best_of(
+            2, lambda: _lockstep_cv(matrix, y))
 
     benchmark.pedantic(_fit_cv, rounds=1, iterations=1)
 
     assert np.array_equal(run["sse"], before)
+    assert run["sse"].tobytes() == oracle.tobytes()
     speedup = reference_wall / run["wall"]
     folds = 10
     bench_json("fit_cv", run["wall"],
                samples_per_s=round(len(y) * folds / run["wall"], 1),
                reference_wall_s=round(reference_wall, 4),
                speedup=round(speedup, 1),
+               oracle_wall_s=round(oracle_wall, 4),
+               speedup_vs_oracle=round(oracle_wall / run["wall"], 2),
                n_points=len(y), n_eips=matrix.shape[1], nnz=matrix.nnz)
     assert speedup >= 2.0
+    # The batch cap keeps big nodes cache-resident: lockstep must not
+    # lose to the per-node search even where data volume dominates.
+    assert run["wall"] <= oracle_wall
+
+
+#: (intervals, EIPs) of the refit benchmark's six EIPV shapes, rounded.
+REFIT_SHAPES = ((60, 119), (120, 119), (60, 88), (120, 88), (30, 834),
+                (60, 834))
+
+
+def refit_dataset(m, n_eips, seed=13):
+    """A refit-sized CSR dataset: ~40 distinct EIPs per interval over a
+    three-level phase hierarchy."""
+    return wide_dataset(m=m, n_eips=n_eips, noise_draws=160, band_draws=5,
+                        depth=3, distinct=36, seed=seed)
+
+
+def test_bench_fit_cv_refit_shape(benchmark, bench_json):
+    datasets = [refit_dataset(m, n) for m, n in REFIT_SHAPES]
+
+    def _all(fn):
+        return [fn(matrix, y) for matrix, y in datasets]
+
+    oracle, oracle_wall = _best_of(3, lambda: _all(
+        lambda matrix, y: oracle_cross_validated_sse(matrix, y, k_max=50,
+                                                     folds=10, seed=3)))
+    run = {}
+
+    def _fit_cv():
+        run["sse"], run["wall"] = _best_of(3, lambda: _all(_lockstep_cv))
+
+    benchmark.pedantic(_fit_cv, rounds=1, iterations=1)
+
+    for got, expected in zip(run["sse"], oracle):
+        assert got.tobytes() == expected.tobytes()
+    per_analysis = run["wall"] / len(datasets)
+    speedup = oracle_wall / run["wall"]
+    bench_json("fit_cv_refit", per_analysis,
+               analyses_per_s=round(1 / per_analysis, 1),
+               oracle_wall_s=round(oracle_wall / len(datasets), 4),
+               speedup_vs_oracle=round(speedup, 2),
+               shapes=[list(shape) for shape in REFIT_SHAPES],
+               nnz=[matrix.nnz for matrix, _ in datasets])
+    assert speedup >= 1.3
 
 
 # ----------------------------------------------------------------- sweep

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import UNSET, AnalysisConfig, resolve_config
-from repro.core.regression_tree import RegressionTreeSequence
+from repro.core.regression_tree import (ColumnAccessor, FeatureStore,
+                                         grow_lockstep)
 from repro.obs import span
 from repro.sparse import is_sparse
 
@@ -105,7 +106,9 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     """Summed held-out squared error E_k for k = 1..k_max.
 
     Builds one tree family per fold and evaluates every member tree on the
-    held-out part, exactly the procedure of Section 4.4.  Pass
+    held-out part, exactly the procedure of Section 4.4.  The serial path
+    sorts the dataset once and grows every fold's family in lockstep
+    (:func:`~repro.core.regression_tree.grow_lockstep`).  Pass
     ``config=AnalysisConfig(...)``; the loose kwargs are deprecated.
     ``jobs > 1`` fans the folds across worker processes with a
     deterministic merge — the result is bit-identical to the serial loop
@@ -146,7 +149,7 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
                 key=f"cv:{token}", fallback_key="kind:cv_fold",
                 n_jobs=config.folds, jobs=effective_jobs)
             if decision.mode == "serial":
-                # The serial loop below still times each fold so the
+                # The serial path below still times the folds so the
                 # model can revisit this choice as costs change.
                 effective_jobs = 1
     if effective_jobs > 1:
@@ -158,37 +161,51 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
                                      token=token)
             cv_span.inc("points", len(y))
         return sse
-    if observe_keys:
-        from repro.runtime import pool as pool_mod
-        model = pool_mod.dispatcher()
+    held_outs = fold_indices(len(y), config.folds, rng)
     sse = np.zeros(k_max)
     with span("cv", folds=config.folds, k_max=k_max) as cv_span:
-        for held_out in fold_indices(len(y), config.folds, rng):
-            fold_start = time.perf_counter() if observe_keys else 0.0
-            with span("cv.fold") as fold_span:
+        start = time.perf_counter()
+        with span("fit.tree") as fit_span:
+            # One store for every fold: each fold's root takes the store
+            # entries of its training rows, in per-fold sort order.
+            train_rows = []
+            for held_out in held_outs:
                 train_mask = np.ones(len(y), dtype=bool)
                 train_mask[held_out] = False
-                tree = RegressionTreeSequence(k_max=k_max,
-                                              min_leaf=config.min_leaf)
-                tree.fit(matrix[train_mask], y[train_mask])
-                test_y = y[held_out]
-                with span("cv.predict"):
-                    predictions = tree.predict_all_k(matrix[held_out])
-                errors = ((predictions - test_y[:, None]) ** 2).sum(axis=0)
-                reached = tree.max_k()
-                sse[:reached] += errors
-                # Trees that stopped growing early keep their last
-                # prediction for larger k (T_k == T_reached beyond the
-                # last useful split).
-                if reached < k_max:
-                    sse[reached:] += errors[-1]
-                fold_span.inc("held_out", len(held_out))
-            if observe_keys:
-                elapsed = time.perf_counter() - fold_start
-                for observe_key in observe_keys:
-                    model.observe_job(observe_key, elapsed)
+                train_rows.append(np.flatnonzero(train_mask))
+            trees = grow_lockstep(FeatureStore(matrix), y, train_rows,
+                                  k_max=k_max, min_leaf=config.min_leaf)
+            fit_span.inc("splits", sum(tree.n_splits for tree in trees))
+            fit_span.inc("points", sum(len(rows) for rows in train_rows))
+        with span("cv.predict") as predict_span:
+            columns = ColumnAccessor(matrix)
+            for tree, held_out in zip(trees, held_outs):
+                predictions = tree.predict_rows_all_k(columns, held_out)
+                errors = ((predictions - y[held_out][:, None]) ** 2).sum(
+                    axis=0)
+                add_fold_errors(sse, errors, tree.max_k())
+            predict_span.inc("held_out", len(y))
+        if observe_keys:
+            # The dispatcher models per-fold costs (the parallel path
+            # observes each fold job), so record the lockstep mean.
+            from repro.runtime import pool as pool_mod
+            per_fold = (time.perf_counter() - start) / config.folds
+            for observe_key in observe_keys:
+                pool_mod.dispatcher().observe_job(observe_key, per_fold)
         cv_span.inc("points", len(y))
     return sse
+
+
+def add_fold_errors(sse: np.ndarray, errors: np.ndarray,
+                    reached: int) -> None:
+    """Accumulate one fold's held-out errors into E_k (in place).
+
+    Trees that stopped growing early keep their last prediction for
+    larger k (T_k == T_reached beyond the last useful split).
+    """
+    sse[:reached] += errors
+    if reached < len(sse):
+        sse[reached:] += errors[-1]
 
 
 def relative_error_curve(matrix: np.ndarray, y: np.ndarray,

@@ -21,17 +21,30 @@ Design notes:
   split search keeps per-feature non-zero lists and treats the zero block
   in closed form; the store ingests dense or CSR matrices identically.
 
-* **Node-local search.** Each frontier node carries the indices of its own
-  triplets, partitioned from its parent when a split is applied.  A node's
-  exact split search therefore touches O(nnz_node) entries, not
-  O(nnz_total) — the difference between quadratic and near-linear fits on
-  wide datasets.  ``split_search="full"`` keeps the previous
-  whole-store-scan behaviour as an equality/benchmark reference; both
-  modes walk candidates in the same order and produce bit-identical trees.
+* **Sort once, grow in lockstep.** :class:`FeatureStore` sorts the
+  dataset's triplets once; any row subset's triplets are then the store
+  entries whose row is in the subset, already in per-subset sort order
+  (ties in value break by row, and a subset keeps row order).  So every
+  cross-validation fold grows from one shared store, and
+  :func:`grow_lockstep` grows all folds' trees together: each step, every
+  unfinished tree applies its best frontier split, then the new children
+  of *all* trees are scored by one batched split search.  Batches are
+  capped at :data:`BATCH_TRIPLETS` so a large node is scored alone and
+  its working set stays cache-resident.  ``fit`` is the same grower with
+  one root.
+
+* **Exactness.** The batched search reproduces the per-node search float
+  for float: node totals are per-node ``ndarray.sum()`` (pairwise), prefix
+  sums per-node ``np.add.accumulate`` (sequential), segment totals one flat
+  ``np.add.reduceat`` (each segment is ``a[s] + pairwise(a[s+1:e])``
+  whatever its neighbours), candidate scores elementwise and each node's
+  pick the first minimum.  Trees are byte-identical to the per-node
+  oracle kept in the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +56,12 @@ from repro.sparse import is_sparse
 #: (guards against floating-point noise producing spurious splits).
 MIN_GAIN = 1e-12
 
+#: Triplets scored per batched split search.  Small nodes share a batch
+#: (amortizing numpy call overhead); a node above the cap runs alone, so
+#: a shared batch's float64 temporaries stay at most 128 kB each and the
+#: batch's working set stays in cache.
+BATCH_TRIPLETS = 16_384
+
 
 @dataclass(eq=False)  # identity comparison: nodes hold numpy arrays
 class TreeNode:
@@ -52,9 +71,9 @@ class TreeNode:
     node's training points (the prediction for any EIPV landing here);
     ``sse`` is their sum of squared deviations.  ``split_rank`` is the
     order in which this node was split during best-first growth (0 for the
-    root); ``None`` while the node is a leaf.  ``store_idx`` holds the
-    node's triplet indices during node-local growth; it is released as
-    soon as the node can no longer split.
+    root); ``None`` while the node is a leaf.  ``store_idx`` (the node's
+    triplet indices) and ``y_sums`` (its CPI sum and sum of squares) are
+    growth state, released as soon as the node can no longer split.
     """
 
     rows: np.ndarray
@@ -68,6 +87,7 @@ class TreeNode:
     split_rank: int | None = None
     best_split: tuple | None = field(default=None, repr=False)
     store_idx: np.ndarray | None = field(default=None, repr=False)
+    y_sums: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -77,13 +97,17 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
+    def _release(self) -> None:
+        self.store_idx = None
+        self.y_sums = None
 
-class _FeatureStore:
+
+class FeatureStore:
     """Sparse (feature, row, value) triplets sorted by (feature, value).
 
-    One lexicographic sort at fit time lets every node's exact split search
-    run as a handful of segmented-prefix-sum numpy operations over just the
-    node's non-zero entries.  Accepts a dense matrix or a
+    One lexicographic sort lets every node's exact split search run as a
+    handful of segmented-prefix-sum numpy operations over just the node's
+    non-zero entries.  Accepts a dense matrix or a
     :class:`~repro.sparse.CSRMatrix`; CSR triplets export in row-major
     order — the same order ``np.nonzero`` yields — so the stable sort (and
     hence the fitted tree) is identical either way.
@@ -105,21 +129,20 @@ class _FeatureStore:
         self.feat = features[order].astype(np.int64)
         self.row = rows[order].astype(np.int64)
         self.val = values[order]
-        # Column j's triplets live in feat_offsets[j]:feat_offsets[j + 1].
-        self.feat_offsets = np.searchsorted(
-            self.feat, np.arange(self.n_features + 1))
 
-    @property
-    def nnz(self) -> int:
-        return len(self.feat)
+    def triplets_of(self, rows: np.ndarray) -> np.ndarray:
+        """Store indices of the given rows' triplets, in store order.
 
-    def column(self, feature: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, values) of one feature's non-zero entries."""
-        start, end = self.feat_offsets[feature], self.feat_offsets[feature + 1]
-        return self.row[start:end], self.val[start:end]
+        Equal to the order a store built from just those rows would have:
+        the lexsort is stable, so value ties keep row order, and a subset
+        of rows keeps its relative order.
+        """
+        member = np.zeros(self.n_rows, dtype=bool)
+        member[rows] = True
+        return np.flatnonzero(member[self.row])
 
 
-class _ColumnAccessor:
+class ColumnAccessor:
     """Per-feature column reads for prediction routing, dense or CSR.
 
     For CSR input the triplets are re-sorted by column once; a reusable
@@ -152,256 +175,376 @@ class _ColumnAccessor:
         return values
 
 
+# -- lockstep growth ----------------------------------------------------
+
+
+def _bounds(counts) -> np.ndarray:
+    """Run boundaries ``[0, c0, c0 + c1, ...]`` of concatenated runs."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
+
+
+def _lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs starting at ``starts`` in an array of ``total``."""
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = total
+    return ends - starts
+
+
+def _run_starts(owner: np.ndarray) -> np.ndarray:
+    """Indices where a non-decreasing ``owner`` array changes value."""
+    first = np.empty(len(owner), dtype=bool)
+    first[:1] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _first_argmin(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per run ``values[starts[i]:starts[i + 1]]``, the flat index of its
+    first minimum — ``np.argmin`` of each (non-empty) run, NaN included."""
+    minima = np.minimum.reduceat(values, starts)
+    hit = values == np.repeat(minima, _lengths(starts, len(values)))
+    if np.isnan(minima).any():
+        hit |= np.isnan(values)
+    where = np.flatnonzero(hit)
+    # Every run holds a hit, so the first hit at or after a run's start
+    # lies inside that run.
+    return where[np.searchsorted(where, starts)]
+
+
+class _Grower:
+    """Node construction, batched split search and batched split
+    application over one shared :class:`FeatureStore`.
+
+    Trees are told apart by *slot* (position in a step's chosen list):
+    the split scratch arrays are indexed by ``slot * n_rows + row``, so
+    two folds' nodes holding the same dataset row never collide.
+    """
+
+    def __init__(self, store: FeatureStore, y: np.ndarray, min_leaf: int,
+                 slots: int) -> None:
+        self.store, self.y, self.min_leaf = store, y, min_leaf
+        #: CPI of each store triplet's row, in store order.
+        self.y_store = y[store.row]
+        self._value = np.zeros(slots * store.n_rows)
+        self._flag = np.zeros(slots * store.n_rows, dtype=bool)
+
+    def nodes(self, rows: np.ndarray, counts, depths) -> list[TreeNode]:
+        """Nodes over consecutive runs of ``rows`` (``counts`` rows each).
+
+        ``value``/``sse`` and the growth-time ``y_sums`` come from per-node
+        ``ndarray.sum()`` calls over contiguous slices — the reduction (and
+        hence every bit) a node built on its own would get.
+        """
+        ys = self.y[rows]
+        bounds = _bounds(counts).tolist()
+        runs = list(zip(bounds[:-1], bounds[1:]))
+        # np.add.reduce is the reduction ndarray.sum() runs, minus the
+        # Python-level wrapper.
+        add = np.add.reduce
+        totals = [float(add(ys[s:e])) for s, e in runs]
+        values = [total / (e - s) for total, (s, e) in zip(totals, runs)]
+        # Row 0: squared deviations from the node mean; row 1: squared CPIs.
+        squares = np.empty((2, len(ys)))
+        np.subtract(ys, np.repeat(values, counts), out=squares[0])
+        np.square(squares[0], out=squares[0])
+        np.multiply(ys, ys, out=squares[1])
+        nodes = []
+        for total, value, depth, (s, e) in zip(totals, values, depths, runs):
+            sse, sumsq = add(squares[:, s:e], axis=1).tolist()
+            nodes.append(TreeNode(rows=rows[s:e], value=value, sse=sse,
+                                  depth=depth, y_sums=(total, sumsq)))
+        return nodes
+
+    def score(self, nodes: list[TreeNode]) -> None:
+        """Cache each node's best (sse, feature, threshold) in
+        ``best_split``; release the nodes that cannot split.
+
+        Nodes are scored in batches of up to :data:`BATCH_TRIPLETS`
+        triplets.
+        """
+        batch: list[TreeNode] = []
+        size = 0
+        for node in nodes:
+            count = len(node.store_idx)
+            if (node.n < 2 * self.min_leaf or node.sse <= MIN_GAIN
+                    or count == 0):
+                node.best_split = None
+                node._release()
+                continue
+            if batch and size + count > BATCH_TRIPLETS:
+                self._score_batch(batch)
+                batch, size = [], 0
+            batch.append(node)
+            size += count
+        if batch:
+            self._score_batch(batch)
+
+    def _score_batch(self, nodes: list[TreeNode]) -> None:
+        """One vectorized split search over several nodes' triplets.
+
+        Segmented prefix sums over each node's non-zero triplets (sorted
+        by feature, then value) score every candidate ``count(EIP) <= t``
+        wall of every feature at once; each feature's zero block
+        (intervals where the EIP was never sampled) is handled in closed
+        form.  A segment is one (node, feature) run.
+        """
+        store, min_leaf = self.store, self.min_leaf
+        counts = [len(node.store_idx) for node in nodes]
+        idx = (nodes[0].store_idx if len(nodes) == 1
+               else np.concatenate([node.store_idx for node in nodes]))
+        total = len(idx)
+        bounds = _bounds(counts)
+        node_start = bounds[:-1]
+        n_rows = np.array([node.n for node in nodes])
+        total_sum, total_sumsq = np.array([node.y_sums for node in nodes]).T
+
+        feat = store.feat[idx]
+        val = store.val[idx]
+        # Row 0: CPI of each triplet's row; row 1: its square.
+        ys = np.empty((2, total))
+        np.take(self.y_store, idx, out=ys[0])
+        np.multiply(ys[0], ys[0], out=ys[1])
+
+        new_seg = np.empty(total, dtype=bool)
+        new_seg[0] = True
+        np.not_equal(feat[1:], feat[:-1], out=new_seg[1:])
+        new_seg[node_start] = True
+        seg_start = np.flatnonzero(new_seg)
+        seg_len = _lengths(seg_start, total)
+        # Each node's first segment.
+        node_seg = np.searchsorted(seg_start, node_start)
+        seg_node = np.repeat(np.arange(len(nodes)),
+                             _lengths(node_seg, len(seg_start)))
+
+        # Per-node prefix sums (sequential, restarting at each node), and
+        # each segment's offset into them (0 for a node's first segment).
+        prefix = np.empty((2, total))
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            np.add.accumulate(ys[0, s:e], out=prefix[0, s:e])
+            np.add.accumulate(ys[1, s:e], out=prefix[1, s:e])
+        offset = prefix[:, seg_start - 1]
+        offset[:, node_seg] = 0.0
+
+        # Per-segment totals and zero-block summaries.
+        seg_sum = np.add.reduceat(ys[0], seg_start)
+        seg_sq = np.add.reduceat(ys[1], seg_start)
+        n0_rows = n_rows[seg_node] - seg_len
+        n0 = n0_rows.astype(np.float64)
+        sum0 = total_sum[seg_node] - seg_sum
+        sq0 = total_sumsq[seg_node] - seg_sq
+
+        # Candidate splits "x <= val" after each non-zero entry whose next
+        # entry in the same segment holds a larger value, with min_leaf
+        # rows on both sides.  (The last entry of a segment would put the
+        # whole node left.)
+        is_wall = np.zeros(total, dtype=bool)
+        np.not_equal(val[:-1], val[1:], out=is_wall[:-1])
+        is_wall[:-1] &= ~new_seg[1:]
+        cand = np.flatnonzero(is_wall)
+        seg_c = np.searchsorted(seg_start, cand, side="right") - 1
+        cnt = cand + 1 - seg_start[seg_c]  # non-zeros left of the wall
+        if min_leaf > 1:
+            keep = ((n0_rows[seg_c] + cnt >= min_leaf)
+                    & (seg_len[seg_c] - cnt >= min_leaf))
+            cand, seg_c, cnt = cand[keep], seg_c[keep], cnt[keep]
+        node_c = seg_node[seg_c]
+        n_left = n0[seg_c] + cnt
+        sum_left = sum0[seg_c] + (prefix[0, cand] - offset[0, seg_c])
+        sq_left = sq0[seg_c] + (prefix[1, cand] - offset[1, seg_c])
+        n_right = n_rows[node_c] - n_left
+        sum_right = total_sum[node_c] - sum_left
+        sq_right = total_sumsq[node_c] - sq_left
+        sse = ((sq_left - sum_left * sum_left / n_left)
+               + (sq_right - sum_right * sum_right / n_right))
+
+        best_sse = np.full(len(nodes), np.inf)
+        feature = np.full(len(nodes), -1)
+        threshold = np.zeros(len(nodes))
+        if len(cand):
+            runs = _run_starts(node_c)
+            best = _first_argmin(sse, runs)
+            present = node_c[runs]
+            best_sse[present] = sse[best]
+            feature[present] = feat[cand[best]]
+            threshold[present] = val[cand[best]]
+
+        # Candidate "x <= 0" splits: zero block left, non-zeros right.
+        zero_ok = (n0 >= min_leaf) & (seg_len >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse0 = ((sq0 - sum0 * sum0 / np.maximum(n0, 1))
+                    + (seg_sq - seg_sum * seg_sum / seg_len))
+        sse0[~zero_ok] = np.inf
+        best0 = _first_argmin(sse0, node_seg)
+        use_zero = (np.logical_or.reduceat(zero_ok, node_seg)
+                    & (sse0[best0] < best_sse))
+        best_sse[use_zero] = sse0[best0[use_zero]]
+        feature[use_zero] = feat[seg_start[best0[use_zero]]]
+        threshold[use_zero] = 0.0
+
+        for node, child_sse, j, t in zip(nodes, best_sse.tolist(),
+                                         feature.tolist(),
+                                         threshold.tolist()):
+            if j < 0 or node.sse - child_sse <= MIN_GAIN:
+                node.best_split = None
+                node._release()
+            else:
+                node.best_split = (child_sse, j, t)
+
+    def split(self, chosen: list[TreeNode]) -> None:
+        """Execute each node's cached best split and attach its children.
+
+        Row and triplet partitions are boolean-mask selections, so every
+        child keeps its rows and triplets in parent (store) order — exactly
+        the subsequence a node-by-node split would produce.
+        """
+        store, n_rows = self.store, self.store.n_rows
+        slots = np.arange(len(chosen))
+        row_counts = [node.n for node in chosen]
+        trip_counts = [len(node.store_idx) for node in chosen]
+        rows = np.concatenate([node.rows for node in chosen])
+        idx = np.concatenate([node.store_idx for node in chosen])
+        slot_r = np.repeat(slots, row_counts)
+        slot_t = np.repeat(slots, trip_counts)
+        row_key = slot_r * n_rows + rows
+        idx_key = slot_t * n_rows + store.row[idx]
+        feature = np.array([node.best_split[1] for node in chosen])
+        threshold = np.array([node.best_split[2] for node in chosen])
+
+        # Each node's split-feature value per row (zero where absent).
+        column = store.feat[idx] == feature[slot_t]
+        column_key = idx_key[column]
+        self._value[column_key] = store.val[idx[column]]
+        go_left = self._value[row_key] <= threshold[slot_r]
+        self._value[column_key] = 0.0
+
+        left_key = row_key[go_left]
+        self._flag[left_key] = True
+        to_left = self._flag[idx_key]
+        self._flag[left_key] = False
+
+        n_left = np.bincount(slot_r[go_left], minlength=len(chosen))
+        n_right = np.asarray(row_counts) - n_left
+        if (n_left == 0).any() or (n_right == 0).any():
+            raise AssertionError("degenerate split should have been skipped")
+        t_left = np.bincount(slot_t[to_left], minlength=len(chosen))
+        t_right = _bounds(np.asarray(trip_counts) - t_left).tolist()
+        t_left = _bounds(t_left).tolist()
+        depths = [node.depth + 1 for node in chosen]
+        children = self.nodes(
+            np.concatenate([rows[go_left], rows[~go_left]]),
+            np.concatenate([n_left, n_right]), depths + depths)
+        left_idx, right_idx = idx[to_left], idx[~to_left]
+        for i, (node, j, t, left, right) in enumerate(zip(
+                chosen, feature.tolist(), threshold.tolist(),
+                children[:len(chosen)], children[len(chosen):])):
+            node.feature, node.threshold = j, t
+            node.left, node.right = left, right
+            left.store_idx = left_idx[t_left[i]:t_left[i + 1]]
+            right.store_idx = right_idx[t_right[i]:t_right[i + 1]]
+            node._release()  # parent triplets are no longer needed
+
+
+def grow_lockstep(store: FeatureStore, y: np.ndarray, row_sets,
+                  k_max: int = 50, min_leaf: int = 1,
+                  ) -> list["RegressionTreeSequence"]:
+    """Grow one tree family per row subset, all in lockstep.
+
+    ``row_sets`` are ascending row-id arrays into the store's dataset
+    (one per cross-validation fold, or one ``arange`` for a plain fit);
+    node ``rows`` are those dataset row ids.  Each tree grows exactly as
+    it would alone — best-first, splitting the first frontier leaf (in
+    frontier order) with the largest gain — but one step of all trees
+    shares a single split application and a batched split search.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    row_sets = [np.asarray(rows, dtype=np.int64) for rows in row_sets]
+    trees = [RegressionTreeSequence(k_max=k_max, min_leaf=min_leaf)
+             for _ in row_sets]
+    if store.n_rows != len(y):
+        raise ValueError("matrix rows must match y length")
+    if any(len(rows) == 0 for rows in row_sets):
+        raise ValueError("cannot fit on an empty dataset")
+    grower = _Grower(store, y, min_leaf, len(row_sets))
+    roots = grower.nodes(np.concatenate(row_sets),
+                         [len(rows) for rows in row_sets],
+                         [0] * len(row_sets))
+    for root, rows in zip(roots, row_sets):
+        root.store_idx = store.triplets_of(rows)
+    grower.score(roots)
+
+    # Per tree, a heap of splittable frontier leaves keyed by
+    # (-gain, insertion order): the pop is the first leaf in frontier
+    # order with the largest gain.
+    order = 0
+    frontiers: list[list] = []
+    for tree, root in zip(trees, roots):
+        tree.root = root
+        frontier: list = []
+        if root.best_split is not None:
+            frontier.append((-(root.sse - root.best_split[0]), order, root))
+        order += 1
+        frontiers.append(frontier)
+
+    growing = [i for i in range(len(trees)) if k_max > 1 and frontiers[i]]
+    while growing:
+        chosen = []
+        for i in growing:
+            node = heapq.heappop(frontiers[i])[2]
+            node.split_rank = trees[i].n_splits
+            chosen.append(node)
+        grower.split(chosen)
+        grower.score([child for node in chosen
+                      for child in (node.left, node.right)])
+        still = []
+        for i, node in zip(growing, chosen):
+            trees[i].n_splits += 1
+            for child in (node.left, node.right):
+                if child.best_split is not None:
+                    heapq.heappush(frontiers[i], (
+                        -(child.sse - child.best_split[0]), order, child))
+                order += 1
+            if trees[i].n_splits < k_max - 1 and frontiers[i]:
+                still.append(i)
+        growing = still
+    for frontier in frontiers:
+        for entry in frontier:
+            entry[2]._release()  # growth over: release frontier triplets
+    return trees
+
+
 class RegressionTreeSequence:
     """The nested family of trees T_1 .. T_k_max over one dataset.
 
     Build once with :meth:`fit`; then :meth:`predict` evaluates any member
     T_k by treating splits of rank >= k - 1 as un-applied.
-    ``split_search`` selects the node-local search (default) or the legacy
-    whole-store scan (``"full"``) — both produce identical trees.
     """
 
-    def __init__(self, k_max: int = 50, min_leaf: int = 1,
-                 split_search: str = "node") -> None:
+    def __init__(self, k_max: int = 50, min_leaf: int = 1) -> None:
         if k_max < 1:
             raise ValueError("k_max must be at least 1")
         if min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
-        if split_search not in ("node", "full"):
-            raise ValueError("split_search must be 'node' or 'full'")
         self.k_max = k_max
         self.min_leaf = min_leaf
-        self.split_search = split_search
         self.root: TreeNode | None = None
         self.n_splits = 0
-        self._store: _FeatureStore | None = None
 
     # -- construction ---------------------------------------------------
 
     def fit(self, matrix, y: np.ndarray) -> "RegressionTreeSequence":
         """Grow the tree family on (EIPV matrix, CPI vector)."""
         with span("fit.tree") as fit_span:
-            self._fit(matrix, y)
+            y = np.asarray(y, dtype=np.float64)
+            (grown,) = grow_lockstep(FeatureStore(matrix), y,
+                                     [np.arange(len(y))], self.k_max,
+                                     self.min_leaf)
+            self.root, self.n_splits = grown.root, grown.n_splits
             fit_span.inc("splits", self.n_splits)
             fit_span.inc("points", len(y))
         return self
-
-    def _fit(self, matrix, y: np.ndarray) -> None:
-        if not is_sparse(matrix):
-            matrix = np.asarray(matrix)
-        y = np.asarray(y, dtype=np.float64)
-        if matrix.shape[0] != len(y):
-            raise ValueError("matrix rows must match y length")
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        store = _FeatureStore(matrix)
-        self._store = store
-        self._y = y
-        # Reusable scratch, indexed by dataset row (reset after each use).
-        self._scratch_val = np.zeros(store.n_rows)
-        self._scratch_flag = np.zeros(store.n_rows, dtype=bool)
-
-        rows = np.arange(len(y), dtype=np.int32)
-        self.root = self._make_node(rows, depth=0)
-        if self.split_search == "node":
-            self.root.store_idx = np.arange(store.nnz, dtype=np.int64)
-        self._find_best_split(self.root)
-
-        # Best-first growth: repeatedly split the leaf with the largest
-        # variance reduction.
-        frontier = [self.root]
-        self.n_splits = 0
-        while self.n_splits < self.k_max - 1:
-            best_node = None
-            best_gain = MIN_GAIN
-            for node in frontier:
-                if node.best_split is None:
-                    continue
-                gain = node.sse - node.best_split[0]
-                if gain > best_gain:
-                    best_gain = gain
-                    best_node = node
-            if best_node is None:
-                break
-            self._apply_split(best_node)
-            frontier.remove(best_node)
-            frontier.extend([best_node.left, best_node.right])
-            self.n_splits += 1
-        for node in frontier:
-            node.store_idx = None  # growth over: release frontier triplets
-
-    def _make_node(self, rows: np.ndarray, depth: int) -> TreeNode:
-        y = self._y[rows]
-        total = float(y.sum())
-        value = total / len(rows)
-        sse = float(((y - value) ** 2).sum())
-        return TreeNode(rows=rows, value=value, sse=sse, depth=depth)
-
-    def _node_triplets(self, node: TreeNode):
-        """The node's (feature, value, cpi) triplets in store order.
-
-        Node-local mode reads them straight from the node's own index
-        array; full mode rebuilds them by masking the whole store (the
-        legacy behaviour, kept as the equality/benchmark reference).  Both
-        yield the same arrays in the same order.
-        """
-        store = self._store
-        if self.split_search == "node":
-            idx = node.store_idx
-            return store.feat[idx], store.val[idx], self._y[store.row[idx]]
-        in_node = np.zeros(store.n_rows, dtype=bool)
-        in_node[node.rows] = True
-        select = in_node[store.row]
-        return (store.feat[select], store.val[select],
-                self._y[store.row[select]])
-
-    def _find_best_split(self, node: TreeNode) -> None:
-        """Compute and cache the node's best (feature, threshold).
-
-        Fully vectorized: segmented prefix sums over the node's non-zero
-        triplets (already sorted by feature then value) score every
-        candidate ``count(EIP) <= t`` wall of every feature in one pass.
-        The per-feature zero block (intervals where the EIP was never
-        sampled) is handled in closed form.
-        """
-        rows = node.rows
-        n = len(rows)
-        if n < 2 * self.min_leaf or node.sse <= MIN_GAIN:
-            node.best_split = None
-            node.store_idx = None
-            return
-        y_node = self._y[rows]
-        total_sum = float(y_node.sum())
-        total_sumsq = float((y_node * y_node).sum())
-
-        feat, val, y_nz = self._node_triplets(node)
-        count = len(feat)
-        if count == 0:
-            node.best_split = None
-            node.store_idx = None
-            return
-        y_sq = y_nz * y_nz
-
-        # Segment bookkeeping: one segment per feature present in the node,
-        # entries within a segment already sorted by value.
-        new_seg = np.empty(count, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(feat[1:], feat[:-1], out=new_seg[1:])
-        seg_start = np.nonzero(new_seg)[0]
-        seg_id = np.cumsum(new_seg) - 1
-        seg_end = np.append(seg_start[1:], count)
-        seg_len = seg_end - seg_start
-
-        # Per-entry prefix sums within each segment.
-        cs = np.cumsum(y_nz)
-        cq = np.cumsum(y_sq)
-        offset_s = np.concatenate(([0.0], cs[seg_start[1:] - 1]))
-        offset_q = np.concatenate(([0.0], cq[seg_start[1:] - 1]))
-        positions = np.arange(1, count + 1)
-        cnt_nz_left = positions - seg_start[seg_id]
-        sum_nz_left = cs - offset_s[seg_id]
-        sq_nz_left = cq - offset_q[seg_id]
-
-        # Per-segment totals and zero-block summaries.
-        seg_sum = np.add.reduceat(y_nz, seg_start)
-        seg_sq = np.add.reduceat(y_sq, seg_start)
-        n0 = (n - seg_len).astype(np.float64)
-        sum0 = total_sum - seg_sum
-        sq0 = total_sumsq - seg_sq
-
-        # Candidate splits after each non-zero entry ("x <= val").
-        n_left = n0[seg_id] + cnt_nz_left
-        sum_left = sum0[seg_id] + sum_nz_left
-        sq_left = sq0[seg_id] + sq_nz_left
-        n_right = n - n_left
-        last_in_seg = np.zeros(count, dtype=bool)
-        last_in_seg[seg_end - 1] = True
-        same_as_next = np.zeros(count, dtype=bool)
-        if count > 1:
-            same_as_next[:-1] = (val[:-1] == val[1:]) & ~last_in_seg[:-1]
-        valid = ~last_in_seg & ~same_as_next & (n_right > 0)
-        # When the zero block is empty the last candidate would put
-        # everything left; excluded via n_right above.  A candidate is
-        # also only a real wall when both sides meet min_leaf.
-        valid &= (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
-
-        best_sse = np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        if valid.any():
-            sum_right = total_sum - sum_left
-            sq_right = total_sumsq - sq_left
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse = ((sq_left - sum_left * sum_left / n_left)
-                       + (sq_right - sum_right * sum_right
-                          / np.maximum(n_right, 1)))
-            sse[~valid] = np.inf
-            index = int(np.argmin(sse))
-            best_sse = float(sse[index])
-            best_feature = int(feat[index])
-            best_threshold = float(val[index])
-
-        # Candidate "x <= 0" splits: zero block left, non-zeros right.
-        zero_ok = ((n0 >= self.min_leaf) & (seg_len >= self.min_leaf))
-        if zero_ok.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse0 = ((sq0 - sum0 * sum0 / np.maximum(n0, 1))
-                        + (seg_sq - seg_sum * seg_sum / seg_len))
-            sse0[~zero_ok] = np.inf
-            index0 = int(np.argmin(sse0))
-            if sse0[index0] < best_sse:
-                best_sse = float(sse0[index0])
-                best_feature = int(feat[seg_start[index0]])
-                best_threshold = 0.0
-
-        if best_feature < 0 or node.sse - best_sse <= MIN_GAIN:
-            node.best_split = None
-            node.store_idx = None
-        else:
-            node.best_split = (best_sse, best_feature, best_threshold)
-
-    def _apply_split(self, node: TreeNode) -> None:
-        """Execute the node's cached best split and prepare the children."""
-        sse_children, feature, threshold = node.best_split
-        rows = node.rows
-        store = self._store
-        node_local = self.split_search == "node"
-        if node_local:
-            idx = node.store_idx
-            feat_sub = store.feat[idx]
-            lo = np.searchsorted(feat_sub, feature, side="left")
-            hi = np.searchsorted(feat_sub, feature, side="right")
-            rows_j = store.row[idx[lo:hi]]
-            values_j = store.val[idx[lo:hi]]
-        else:
-            rows_j, values_j = store.column(feature)
-        # Feature value per node row (zeros by default).
-        scratch = self._scratch_val
-        scratch[rows_j] = values_j
-        go_left = scratch[rows] <= threshold
-        scratch[rows_j] = 0.0
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
-        if len(left_rows) == 0 or len(right_rows) == 0:
-            raise AssertionError("degenerate split should have been skipped")
-        node.feature = feature
-        node.threshold = threshold
-        node.split_rank = self.n_splits
-        node.left = self._make_node(left_rows, node.depth + 1)
-        node.right = self._make_node(right_rows, node.depth + 1)
-        if node_local:
-            # Partition the triplets: a boolean-mask split preserves the
-            # (feature, value, row-major) order, so each child searches
-            # exactly the subsequence the full scan would have produced.
-            flag = self._scratch_flag
-            flag[left_rows] = True
-            mask = flag[store.row[idx]]
-            flag[left_rows] = False
-            node.left.store_idx = idx[mask]
-            node.right.store_idx = idx[~mask]
-            node.store_idx = None  # parent triplets are no longer needed
-        self._find_best_split(node.left)
-        self._find_best_split(node.right)
 
     # -- evaluation -----------------------------------------------------
 
@@ -433,7 +576,7 @@ class RegressionTreeSequence:
             raise ValueError("k must be at least 1")
         if not is_sparse(matrix):
             matrix = np.asarray(matrix)
-        columns = _ColumnAccessor(matrix)
+        columns = ColumnAccessor(matrix)
         out = np.empty(matrix.shape[0])
         stack = [(self.root, np.arange(matrix.shape[0], dtype=np.int64))]
         while stack:
@@ -460,20 +603,32 @@ class RegressionTreeSequence:
             raise RuntimeError("tree is not fitted")
         if not is_sparse(matrix):
             matrix = np.asarray(matrix)
-        k_max = self.max_k()
-        columns = _ColumnAccessor(matrix)
-        out = np.empty((matrix.shape[0], k_max))
-        stack = [(self.root, np.arange(matrix.shape[0], dtype=np.int64), 0)]
+        return self.predict_rows_all_k(ColumnAccessor(matrix),
+                                       np.arange(matrix.shape[0]))
+
+    def predict_rows_all_k(self, columns: ColumnAccessor,
+                           rows: np.ndarray) -> np.ndarray:
+        """:meth:`predict_all_k` for the given rows of an accessor's matrix.
+
+        Output row ``i`` is the prediction for matrix row ``rows[i]``, so
+        cross-validation routes each fold's held-out rows through one
+        accessor built over the whole dataset.
+        """
+        if self.root is None:
+            raise RuntimeError("tree is not fitted")
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.empty((len(rows), self.max_k()))
+        stack = [(self.root, np.arange(len(rows)), rows, 0)]
         while stack:
-            node, rows, low = stack.pop()
+            node, at, ids, low = stack.pop()
             if node.split_rank is None:
-                out[rows, low:] = node.value
+                out[at, low:] = node.value
                 continue
             rank = node.split_rank
-            out[rows, low:rank + 1] = node.value
-            go_left = columns.get(node.feature, rows) <= node.threshold
-            stack.append((node.right, rows[~go_left], rank + 1))
-            stack.append((node.left, rows[go_left], rank + 1))
+            out[at, low:rank + 1] = node.value
+            go_left = columns.get(node.feature, ids) <= node.threshold
+            stack.append((node.right, at[~go_left], ids[~go_left], rank + 1))
+            stack.append((node.left, at[go_left], ids[go_left], rank + 1))
         return out
 
     def leaves(self, k: int | None = None) -> list[TreeNode]:

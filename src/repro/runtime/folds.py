@@ -10,14 +10,15 @@ Three properties keep a parallel run bit-identical to the serial loop:
   draw — so every worker derives the same fold membership from the spec
   alone, with no index arrays shipped around.
 
-* **Identical per-fold floats.**  A fold job runs exactly the serial
-  loop's body (same fit, same ``predict_all_k``, same squared-error
-  reduction); results travel back by pickle, which preserves every float
-  bit.
+* **Identical per-fold floats.**  A fold job fits its training rows
+  with ``RegressionTreeSequence.fit`` — the grower the serial path runs
+  over all folds in lockstep, so the trees are byte-identical — and
+  scores the held-out rows with the same ``predict_all_k`` routing and
+  squared-error reduction; results travel back by pickle, which
+  preserves every float bit.
 
 * **Identical merge.**  The parent accumulates per-fold error vectors in
-  fold submission order with the same ``sse[:reached] += errors`` /
-  tail-extension operations the serial loop performs.
+  fold submission order with the serial path's ``add_fold_errors``.
 
 The (matrix, y) dataset is published to each pool worker once —
 through a cached :class:`~repro.runtime.pool.WorkerSetup` shm attach on
@@ -40,6 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro.core.cross_validation import add_fold_errors, fold_indices
 from repro.core.regression_tree import RegressionTreeSequence
 from repro.obs import span
 from repro.runtime.cache import NullCache
@@ -193,11 +195,9 @@ class FoldResult:
 def execute_fold(spec: FoldSpec) -> FoldResult:
     """Fit on the fold's training part, score every T_k on the rest.
 
-    This is the serial loop body of ``cross_validated_sse``, verbatim, so
-    the floats coming back are the ones the serial path would produce.
+    One fold of ``cross_validated_sse``'s lockstep fit, grown alone:
+    the floats coming back are the ones the serial path produces.
     """
-    from repro.core.cross_validation import fold_indices
-
     try:
         matrix, y = _DATASETS[spec.dataset_token]
     except KeyError:
@@ -312,13 +312,9 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
             # Feed the adaptive dispatcher's per-dataset cost model.
             model.observe_job(f"cv:{token}", outcome.wall_time)
             model.observe_job("kind:cv_fold", outcome.wall_time)
-        errors = np.asarray(outcome.result.errors, dtype=np.float64)
-        reached = outcome.result.reached
-        sse[:reached] += errors
-        # Trees that stopped growing early keep their last prediction for
-        # larger k — the same tail extension as the serial loop.
-        if reached < config.k_max:
-            sse[reached:] += errors[-1]
+        add_fold_errors(sse, np.asarray(outcome.result.errors,
+                                        dtype=np.float64),
+                        outcome.result.reached)
     return sse
 
 

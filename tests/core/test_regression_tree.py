@@ -12,6 +12,7 @@ from repro.experiments.example_tree import (
     TABLE1_CPIS,
     TABLE1_EIPVS,
 )
+from tests.core.tree_oracle import OracleTreeSequence
 
 
 class TestWorkedExample:
@@ -223,14 +224,17 @@ def test_root_split_respects_min_leaf_vs_brute_force(seed, min_leaf):
         assert min(tree.root.left.n, tree.root.right.n) >= min_leaf
 
 
-def _tree_signature(tree):
+def tree_signature(tree):
+    """Every node's (rank, feature, threshold, value, sse, depth, rows),
+    pre-order — equal signatures mean byte-identical trees."""
     signature = []
 
     def walk(node):
         if node is None:
             return
         signature.append((node.split_rank, node.feature, node.threshold,
-                          node.value, node.sse, node.rows.tolist()))
+                          node.value, node.sse, node.depth,
+                          node.rows.tolist()))
         walk(node.left)
         walk(node.right)
 
@@ -238,8 +242,9 @@ def _tree_signature(tree):
     return signature
 
 
-class TestSearchModesAndSparse:
-    """Node-local, full-scan and CSR-input fits are bit-identical."""
+class TestOracleAndSparse:
+    """Fits equal the per-node oracle (node-local and full-scan search),
+    and CSR-input fits equal dense ones, bit for bit."""
 
     def random_data(self, seed, m=45, n=25, density=0.3):
         rng = np.random.default_rng(seed)
@@ -249,12 +254,13 @@ class TestSearchModesAndSparse:
         return matrix, y
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_node_local_matches_full_scan(self, seed):
+    @pytest.mark.parametrize("split_search", ["node", "full"])
+    def test_matches_per_node_oracle(self, seed, split_search):
         matrix, y = self.random_data(seed)
-        node = RegressionTreeSequence(k_max=12).fit(matrix, y)
-        full = RegressionTreeSequence(k_max=12,
-                                      split_search="full").fit(matrix, y)
-        assert _tree_signature(node) == _tree_signature(full)
+        tree = RegressionTreeSequence(k_max=12).fit(matrix, y)
+        oracle = OracleTreeSequence(
+            k_max=12, split_search=split_search).fit(matrix, y)
+        assert tree_signature(tree) == tree_signature(oracle)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_csr_input_matches_dense(self, seed):
@@ -262,7 +268,7 @@ class TestSearchModesAndSparse:
         dense = RegressionTreeSequence(k_max=12).fit(matrix, y)
         sparse = RegressionTreeSequence(k_max=12).fit(
             CSRMatrix.from_dense(matrix), y)
-        assert _tree_signature(dense) == _tree_signature(sparse)
+        assert tree_signature(dense) == tree_signature(sparse)
 
     def test_predict_matches_on_csr_input(self):
         matrix, y = self.random_data(7)
@@ -291,9 +297,16 @@ class TestSearchModesAndSparse:
         while stack:
             node = stack.pop()
             assert node.store_idx is None
+            assert node.y_sums is None
             if node.left is not None:
                 stack.extend([node.left, node.right])
 
-    def test_invalid_split_search_rejected(self):
-        with pytest.raises(ValueError):
-            RegressionTreeSequence(split_search="bogus")
+    def test_predictions_match_oracle(self):
+        matrix, y = self.random_data(12)
+        probe, _ = self.random_data(13, m=30)
+        tree = RegressionTreeSequence(k_max=10).fit(matrix, y)
+        oracle = OracleTreeSequence(k_max=10).fit(matrix, y)
+        assert (tree.predict_all_k(probe).tobytes()
+                == oracle.predict_all_k(probe).tobytes())
+        assert (tree.predict_all_k(CSRMatrix.from_dense(probe)).tobytes()
+                == oracle.predict_all_k(probe).tobytes())

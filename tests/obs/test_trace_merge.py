@@ -28,9 +28,8 @@ JOB_STAGES = (
     "job/pipeline.collect/trace.build_eipvs",
     "job/analyze",
     "job/analyze/cv",
-    "job/analyze/cv/cv.fold",
-    "job/analyze/cv/cv.fold/fit.tree",
-    "job/analyze/cv/cv.fold/cv.predict",
+    "job/analyze/cv/fit.tree",
+    "job/analyze/cv/cv.predict",
 )
 
 

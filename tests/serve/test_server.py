@@ -1,7 +1,10 @@
 """HTTP round-trip tests, including the byte-identical-to-CLI contract."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -63,6 +66,28 @@ class TestObservability:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
         assert excinfo.value.code == 404
+
+
+class TestKeepAlive:
+    def test_reused_connection_does_not_stall(self, server):
+        """Headers and body leave in one write.  As two writes, Nagle's
+        algorithm holds the body until the client's delayed ACK of the
+        headers: ~40 ms per response on a kept-alive connection."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+                assert body["status"] == "ok"
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.010, latencies
 
 
 class TestFraming:

@@ -109,7 +109,7 @@ class TestFacade:
                              scale="tiny")
         assert result.workloads == ("spec.gzip",)
         assert result.jobs == 1
-        assert "job/analyze/cv/cv.fold" in result.stage_names()
+        assert "job/analyze/cv/fit.tree" in result.stage_names()
         assert "job/pipeline.collect" in result.stage_names()
         report = result.report(top=3)
         assert "per-stage breakdown" in report

@@ -220,7 +220,7 @@ class TestObservabilityCommands:
         captured = capsys.readouterr()
         assert "per-stage breakdown" in captured.out
         assert "pipeline.collect" in captured.out
-        assert "cv.fold" in captured.out
+        assert "fit.tree" in captured.out
         assert "top 3 slowest spans" in captured.out
         assert captured.err == ""
 
